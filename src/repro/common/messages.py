@@ -482,13 +482,21 @@ class Checkpoint(Message):
     )
 
 
+#: ``PreparedProof.batch_digest`` of a no-op: the NewView of ``view``
+#: abandoned ``sequence`` (the PBFT null request).
+NO_OP_DIGEST = b""
+
+
 @register_wire_type
 @dataclass(frozen=True)
 class PreparedProof:
     """Evidence that a request was prepared: the PrePrepare plus nf Prepare votes.
 
     ``requests`` carries the prepared batch itself so that a new primary that
-    never stored the batch can still re-propose it in the new view.
+    never stored the batch can still re-propose it in the new view.  A proof
+    whose digest is :data:`NO_OP_DIGEST` reports instead that ``sequence``
+    was abandoned in ``view``; like a prepared null request in PBFT, it
+    outranks any certificate from an earlier view.
     """
 
     sequence: int
@@ -496,6 +504,8 @@ class PreparedProof:
     batch_digest: bytes
     prepares: int
     requests: tuple[ClientRequest, ...] = ()
+    #: View whose primary first assigned ``sequence`` to this batch.
+    origin_view: int = 0
 
 
 @register_wire_type
@@ -517,7 +527,9 @@ class ViewChange(Message):
             # tag over a weaker payload could be replayed onto a forged
             # variant carrying different digests.  The batch contents are
             # bound transitively through batch_digest (collision resistance).
-            "prepared": [[p.sequence, p.view, p.batch_digest] for p in self.prepared],
+            "prepared": [
+                [p.sequence, p.view, p.batch_digest, p.origin_view] for p in self.prepared
+            ],
         }
 
 
@@ -529,13 +541,15 @@ class NewView(Message):
     ``abandoned`` lists sequence numbers the new primary could not find a
     prepared certificate for; replicas treat them as no-ops so that in-order
     execution and sequence-ordered locking do not stall on the gap (the
-    classic PBFT null-request fill).
+    classic PBFT null-request fill).  ``origin_views`` gives, per
+    re-proposal, the view whose primary first assigned its sequence.
     """
 
     view: int
     view_change_senders: tuple[str, ...]
     reproposals: tuple[PrePrepare, ...] = ()
     abandoned: tuple[int, ...] = ()
+    origin_views: tuple[int, ...] = ()
 
     def _payload_fields(self) -> dict[str, Any]:
         return {
@@ -544,6 +558,7 @@ class NewView(Message):
             "view": self.view,
             "vc": list(self.view_change_senders),
             "abandoned": list(self.abandoned),
+            "origins": list(self.origin_views),
             # Bind the re-proposals: without this, a valid tag could be
             # replayed onto a variant of the NewView carrying attacker-chosen
             # batches.  Each re-proposal's requests are bound through its

@@ -81,6 +81,12 @@ class ConsensusLog:
     def accepted_digest(self, view: int, sequence: int) -> bytes | None:
         return self._accepted_digest.get((view, sequence))
 
+    def is_ordering(self, view: int, digest: bytes) -> bool:
+        """Whether ``digest`` holds an accepted PrePrepare in ``view``."""
+        return any(
+            d == digest and v == view for (v, _), d in self._accepted_digest.items()
+        )
+
     def accept(self, view: int, sequence: int, digest: bytes) -> None:
         """Bind this replica to supporting ``digest`` at (view, sequence).
 
@@ -143,15 +149,17 @@ class ConsensusLog:
     def prepared_sequences(self, quorum: int) -> list[tuple[int, int, bytes]]:
         """Every (view, sequence, digest) this replica saw reach the prepared phase.
 
-        Used to build ViewChange messages: prepared-but-not-committed requests
-        must survive into the new view.
+        Used to build ViewChange messages: every prepared request above the
+        truncation floor must survive into the new view -- executed ones
+        included, or a new primary that hears only from replicas that already
+        executed a sequence abandons it under the replicas that did not.
         """
         prepared = []
         for (view, sequence), slot in self._slots.items():
             if slot.pre_prepare is None:
                 continue
             digest = slot.pre_prepare.batch_digest
-            if slot.matching_prepares(digest) >= quorum and slot.state is not SlotState.EXECUTED:
+            if slot.matching_prepares(digest) >= quorum:
                 prepared.append((view, sequence, digest))
         return sorted(prepared, key=lambda item: item[1])
 

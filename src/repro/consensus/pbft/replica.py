@@ -37,6 +37,7 @@ from repro.common.messages import (
     StateTransferReply,
     StateTransferRequest,
     Message,
+    NO_OP_DIGEST,
     ViewChange,
     batch_digest,
 )
@@ -45,6 +46,7 @@ from repro.config import PipelineConfig, TimerConfig
 from repro.consensus.directory import Directory
 from repro.consensus.pbft.log import ConsensusLog, SlotState
 from repro.consensus.pbft.pacing import SlotOccupancyController
+from repro.errors import ConsensusError
 from repro.sim.network import Network
 from repro.sim.node import Node
 from repro.storage.checkpoint import CheckpointStore
@@ -136,11 +138,16 @@ class PbftReplica(Node):
         self.last_executed = 0
         self._pending_execution: dict[int, bytes] = {}
         self._ledger_pending: dict[int, bytes] = {}
+        #: sequence -> view whose primary first assigned it.  Re-proposals
+        #: keep it, so every replica's block for the sequence names the same
+        #: primary whichever view the batch commits in.
+        self._origin_views: dict[int, int] = {}
         self._ledger_appended = 0
         self._pending_client_requests: dict[str, ClientRequest] = {}
         self._committed_sequences: set[int] = set()
         self._committed_txn_ids: set[str] = set()
-        self._abandoned_sequences: set[int] = set()
+        #: sequence -> view whose NewView abandoned it as a no-op.
+        self._abandoned_sequences: dict[int, int] = {}
         #: Transactions this replica (as primary) has already batched/proposed
         #: and that have not executed yet -- prevents client retransmissions
         #: from being ordered twice.
@@ -148,6 +155,10 @@ class PbftReplica(Node):
 
         # View change state -------------------------------------------------
         self._view_change_votes: dict[int, dict[ReplicaId, ViewChange]] = {}
+        #: Set while this replica has voted to leave ``self.view``.  As in
+        #: PBFT it then takes no further part in that view, so its vote stays
+        #: an accurate account of what it prepared: the new primary must not
+        #: abandon a sequence this replica goes on to commit.
         self._view_change_target: int | None = None
         self.view_changes_completed = 0
         self._future_pre_prepares: list[PrePrepare] = []
@@ -576,6 +587,13 @@ class PbftReplica(Node):
 
     def _propose(self, batch: tuple[ClientRequest, ...]) -> None:
         """Primary-only: assign a sequence number and broadcast a PrePrepare."""
+        if self._view_change_target is not None:
+            # A primary that voted to leave its view proposes nothing more in
+            # it (it would not even accept its own PrePrepare).  The requests
+            # stay in every replica's backlog and are re-staged once the next
+            # view installs.
+            self._enqueued_txns.difference_update(r.transaction.txn_id for r in batch)
+            return
         # Last-line exactly-once guard: a request staged before a view change
         # can commit (via the new view's re-proposals) while it still sits in
         # the batcher queue.  Healthy runs never hit this filter, so the
@@ -601,13 +619,14 @@ class PbftReplica(Node):
         )
         self._broadcast_shard(message)
 
-    def _handle_pre_prepare(self, message: PrePrepare) -> None:
+    def _handle_pre_prepare(self, message: PrePrepare, origin_view: int | None = None) -> None:
+        """Accept a proposal; ``origin_view`` is set for a NewView re-proposal."""
         if message.view > self.view:
             # Proposal from a view we have not installed yet (the NewView is
             # still in flight); buffer it and replay once the view installs.
             self._future_pre_prepares.append(message)
             return
-        if message.view != self.view:
+        if message.view != self.view or self._view_change_target is not None:
             return
         if message.sender != self.directory.primary_of(self.shard_id, message.view):
             return
@@ -618,6 +637,9 @@ class PbftReplica(Node):
                 # Equivocating primary: refuse the second proposal.
                 return
         self.log.accept(message.view, message.sequence, message.batch_digest)
+        self._origin_views[message.sequence] = (
+            message.view if origin_view is None else origin_view
+        )
         slot = self.log.slot(message.view, message.sequence)
         slot.record_pre_prepare(message)
         self.batches[message.batch_digest] = message.requests
@@ -655,7 +677,7 @@ class PbftReplica(Node):
             # must be buffered rather than lost (they are replayed on install).
             self._future_votes.append(message)
             return
-        if message.view != self.view:
+        if message.view != self.view or self._view_change_target is not None:
             return
         slot = self.log.slot(message.view, message.sequence)
         slot.record_prepare(message)
@@ -697,7 +719,7 @@ class PbftReplica(Node):
         if message.view > self.view:
             self._future_votes.append(message)
             return
-        if message.view != self.view:
+        if message.view != self.view or self._view_change_target is not None:
             return
         slot = self.log.slot(message.view, message.sequence)
         slot.record_commit(message)
@@ -711,6 +733,9 @@ class PbftReplica(Node):
             # Already committed under an earlier view (re-proposal after a view change).
             return
         if not self.log.is_committed(view, sequence, digest, self.quorum.commit_quorum):
+            return
+        if sequence in self._abandoned_sequences or sequence <= self._ledger_appended:
+            self._check_recommit(sequence, digest)
             return
         self.log.mark(view, sequence, SlotState.COMMITTED)
         self._committed_sequences.add(sequence)
@@ -728,6 +753,26 @@ class PbftReplica(Node):
         if not self._defer_slot_release(sequence, digest):
             self._close_slot(sequence)
         self._on_batch_committed(view, sequence, digest, batch)
+
+    def _check_recommit(self, sequence: int, digest: bytes) -> None:
+        """A commit quorum for a sequence this replica already abandoned or
+        appended to its ledger (which drains strictly in sequence order, unlike
+        ``last_executed``: RingBFT advances that out of order).
+
+        The batch the ledger holds there is a duplicate (a re-proposal after
+        GC dropped the sequence from ``_committed_sequences``) and must not
+        execute or lock again.  Any other batch, or any batch at an abandoned
+        sequence, contradicts the order already applied: fail loudly.
+        """
+        batch = self.batches.get(digest, ())
+        if sequence not in self._abandoned_sequences and all(
+            self.ledger.sequence_of(r.transaction.txn_id) == sequence for r in batch
+        ):
+            return
+        raise ConsensusError(
+            f"{self.replica_id}: commit of batch {digest.hex()[:12]} at sequence "
+            f"{sequence} contradicts the order already applied there"
+        )
 
     def _defer_slot_release(self, sequence: int, digest: bytes) -> bool:
         """Hook: whether a committed slot stays open past local commit.
@@ -748,7 +793,8 @@ class PbftReplica(Node):
         The block order therefore reflects the shard's commit order (the
         paper's "each k-th block represents a batch committed at sequence
         k") and is identical on every replica, independent of when the
-        batches finish executing.
+        batches finish executing.  Each block names the primary that first
+        assigned its sequence, not the primary current at append time.
         """
         while True:
             sequence = self._ledger_appended + 1
@@ -757,7 +803,9 @@ class PbftReplica(Node):
                 batch = self.batches.get(digest, ())
                 transactions = [request.transaction for request in batch]
                 if transactions:
-                    self.ledger.append_batch(sequence, str(self.primary), transactions)
+                    origin = self._origin_views.get(sequence, self.view)
+                    primary = self.directory.primary_of(self.shard_id, origin)
+                    self.ledger.append_batch(sequence, str(primary), transactions)
                 self._ledger_appended = sequence
                 continue
             if sequence in self._abandoned_sequences:
@@ -950,7 +998,10 @@ class PbftReplica(Node):
         for digest in releasable - still_needed:
             self.batches.pop(digest, None)
         self._committed_sequences = {s for s in self._committed_sequences if s > watermark}
-        self._abandoned_sequences = {s for s in self._abandoned_sequences if s > watermark}
+        self._abandoned_sequences = {
+            s: view for s, view in self._abandoned_sequences.items() if s > watermark
+        }
+        self._origin_views = {s: v for s, v in self._origin_views.items() if s > watermark}
         # Executed transactions answer retransmissions through the executor's
         # result store, so their dedup entries here are redundant.
         self._committed_txn_ids = {
@@ -1051,7 +1102,10 @@ class PbftReplica(Node):
         self._committed_txn_ids.update(reply.executed_txn_ids)
         for sequence in [s for s in self._pending_execution if s <= reply.last_executed]:
             del self._pending_execution[sequence]
-        for unblocked in self.locks.fast_forward(reply.last_executed):
+        # Locking skips only what the adopted ledger covers.  The peers'
+        # ``last_executed`` can run past their ledger (RingBFT advances it out
+        # of order); a sequence up there still commits here, and must lock.
+        for unblocked in self.locks.fast_forward(self._ledger_appended):
             self._run_lock_continuation(unblocked)
         self.state_transfers_completed += 1
         # The adopted snapshot covers everything up to the stable point: the
@@ -1075,6 +1129,7 @@ class PbftReplica(Node):
         if self._view_change_target is not None and self._view_change_target >= target:
             return
         self._view_change_target = target
+        abandoned = self._abandoned_sequences
         prepared = tuple(
             PreparedProof(
                 sequence=seq,
@@ -1082,8 +1137,13 @@ class PbftReplica(Node):
                 batch_digest=digest,
                 prepares=self.quorum.commit_quorum,
                 requests=self.batches.get(digest, ()),
+                origin_view=self._origin_views.get(seq, view),
             )
             for view, seq, digest in self.log.prepared_sequences(self.quorum.commit_quorum)
+            if abandoned.get(seq, -1) < view
+        ) + tuple(
+            PreparedProof(sequence=seq, view=view, batch_digest=NO_OP_DIGEST, prepares=0)
+            for seq, view in sorted(abandoned.items())
         )
         message = ViewChange(
             sender=self.replica_id,
@@ -1120,6 +1180,7 @@ class PbftReplica(Node):
             view_change_senders=tuple(str(r) for r in votes),
             reproposals=reproposals,
             abandoned=abandoned,
+            origin_views=tuple(self._origin_views[p.sequence] for p in reproposals),
         )
         self._broadcast_shard(message)
 
@@ -1132,21 +1193,39 @@ class PbftReplica(Node):
         sequence numbers below the highest known sequence for which no
         prepared certificate exists -- they are filled with no-ops so that
         in-order execution and sequence-ordered locking never stall.
+
+        Per sequence the proof from the highest view wins, as in PBFT.  A
+        no-op proof (an earlier NewView abandoned the sequence) therefore
+        keeps the sequence abandoned: a certificate from before that view
+        change, reported by a replica that missed it, must not resurrect a
+        sequence the other replicas already skipped.  Each re-proposal's
+        origin view (from its winning proof) is recorded in ``_origin_views``
+        for the NewView to carry.
         """
-        prepared: dict[int, tuple[bytes, tuple[ClientRequest, ...]]] = {}
+        latest: dict[int, PreparedProof] = {}
         stable = self.checkpoints.last_stable_sequence
         for vote in votes.values():
             stable = max(stable, vote.last_stable_sequence)
             for proof in vote.prepared:
-                requests = proof.requests or self.batches.get(proof.batch_digest, ())
-                prepared.setdefault(proof.sequence, (proof.batch_digest, requests))
+                held = latest.get(proof.sequence)
+                if held is None or proof.view > held.view:
+                    latest[proof.sequence] = proof
+        prepared = {
+            sequence: (
+                proof.batch_digest,
+                proof.requests or self.batches.get(proof.batch_digest, ()),
+            )
+            for sequence, proof in latest.items()
+            if proof.batch_digest != NO_OP_DIGEST
+        }
         highest = max(
-            [self.log.highest_sequence(), self.next_sequence - 1, *prepared.keys()], default=0
+            [self.log.highest_sequence(), self.next_sequence - 1, *latest.keys()], default=0
         )
         reproposals = []
         for sequence, (digest, requests) in sorted(prepared.items()):
             if sequence <= stable or not requests:
                 continue
+            self._origin_views[sequence] = latest[sequence].origin_view
             reproposals.append(
                 PrePrepare(
                     sender=self.replica_id,
@@ -1167,6 +1246,8 @@ class PbftReplica(Node):
         if message.view <= self.view:
             return
         if message.sender != self.directory.primary_of(self.shard_id, message.view):
+            return
+        if len(message.origin_views) != len(message.reproposals):
             return
         self.view = message.view
         self._view_change_target = None
@@ -1201,8 +1282,8 @@ class PbftReplica(Node):
             )
         for sequence in message.abandoned:
             self._abandon_sequence(sequence)
-        for reproposal in message.reproposals:
-            self._handle_pre_prepare(reproposal)
+        for reproposal, origin in zip(message.reproposals, message.origin_views):
+            self._handle_pre_prepare(reproposal, origin)
         # Replay proposals and votes from this view that raced ahead of the NewView.
         buffered, self._future_pre_prepares = self._future_pre_prepares, []
         for pre_prepare in buffered:
@@ -1217,10 +1298,10 @@ class PbftReplica(Node):
 
     def _abandon_sequence(self, sequence: int) -> None:
         """Treat ``sequence`` as a committed no-op (view-change gap fill)."""
-        if sequence in self._committed_sequences or sequence <= self.last_executed:
+        if sequence in self._committed_sequences or sequence <= self._ledger_appended:
             return
         self.cancel_timer(f"slot-{sequence}")
-        self._abandoned_sequences.add(sequence)
+        self._abandoned_sequences[sequence] = self.view
         self._close_slot(sequence, committed=False)
         self._execute_ready_batches()
         self._drain_ledger()

@@ -546,11 +546,14 @@ class RingBftReplica(PbftReplica):
         A batch whose Forward quorum arrived under the previous primary may
         never have been proposed locally (that primary was faulty), so the new
         primary re-proposes every known cross-shard batch that has not locked
-        its data yet.
+        its data yet -- except those the NewView already re-proposed, which
+        would otherwise be ordered twice.
         """
         super()._resubmit_pending_requests()
         for record in self._cross_records.values():
             if not record.requests or record.locked:
+                continue
+            if self.is_primary and self.log.is_ordering(self.view, record.batch_digest):
                 continue
             if self.is_primary and not self.byzantine_silent:
                 record.consensus_started = True

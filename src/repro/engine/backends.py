@@ -1,19 +1,20 @@
-"""Execution backends: the two clocks a deployment can run on.
+"""Execution backends: the clocks a deployment can run on.
 
 An :class:`ExecutionBackend` owns a :class:`~repro.engine.protocols.Scheduler`
 and a :class:`~repro.engine.protocols.Transport` and knows how to *drive* them:
 run until a predicate holds, run for a stretch of protocol time, report the
 current protocol time.  :class:`repro.engine.deployment.Deployment` builds the
 replicas and clients against whichever backend it is handed, so every
-experiment, benchmark, and example can run on either clock.
+experiment, benchmark, and example can run on any of them.
 
 * :class:`SimBackend` -- deterministic discrete-event simulation; protocol
   time is virtual, a given seed always produces the same execution.
-* :class:`RealTimeBackend` -- asyncio; protocol timers are real timers and
-  message delays are real delays, optionally compressed by ``time_scale`` so
-  WAN-sized runs finish in wall-clock seconds.  The backend owns a private
-  event loop, which keeps construction eager and symmetric with the simulator
-  and lets one deployment be driven several times (run, inspect, run again).
+* :class:`RealTimeBackend` -- the simulator's :class:`~repro.sim.network.Network`
+  on an asyncio clock: protocol timers and link delays are real delays, both
+  compressed by one ``time_scale`` so WAN-sized runs finish in wall-clock
+  seconds.  The backend owns a private event loop, which keeps construction
+  eager and symmetric with the simulator and lets one deployment be driven
+  several times (run, inspect, run again).
 * :class:`SocketBackend` -- asyncio over real TCP sockets; messages leave the
   process as canonical-codec frames (:mod:`repro.net`) and protocol time is
   wall-clock time.  One process can host any subset of a deployment's nodes,
@@ -31,7 +32,7 @@ from repro.errors import ConfigurationError
 from repro.net.framing import MAX_FRAME_BYTES
 from repro.net.transport import SocketTransport
 from repro.netem import LatencyModel, LinkEmulator, NetemPolicy, NetworkConditions
-from repro.rt.transport import AsyncNetwork, RealTimeScheduler
+from repro.rt.transport import RealTimeScheduler
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 
@@ -169,18 +170,46 @@ class SimBackend(ExecutionBackend):
 class _EventLoopBackend(ExecutionBackend):
     """Shared asyncio driving logic: poll a predicate while the loop runs.
 
-    Subclasses own a private event loop (``self._loop``) and a
+    Each backend owns a private event loop (``self._loop``) and a
     ``time_scale`` converting protocol seconds to wall-clock seconds; this
     base provides the three ``run_*`` drivers on top of them, so the
     realtime and socket backends cannot drift apart in deadline or scaling
     semantics.
+
+    An exception raised inside a loop callback (a message delivery or a
+    protocol timer) fails the run that was driving the loop, as it does on
+    the simulator: the first one is recorded and re-raised from the
+    ``run_*`` call instead of being logged while the run carries on with a
+    replica stopped halfway through a handler.
     """
 
     #: Wall-clock pause between predicate polls while driving the loop.
     POLL_INTERVAL_S = 0.002
 
-    _loop: asyncio.AbstractEventLoop
     time_scale: float
+
+    def __init__(self) -> None:
+        self._loop = asyncio.new_event_loop()
+        self._loop.set_exception_handler(self._on_loop_exception)
+        self._closed = False
+        self._failure: BaseException | None = None
+
+    def _on_loop_exception(self, loop: asyncio.AbstractEventLoop, context: dict) -> None:
+        exc = context.get("exception")
+        if exc is not None and "handle" in context and self._failure is None:
+            self._failure = exc
+        else:
+            loop.default_exception_handler(context)
+
+    def _run(self, main):
+        """Run ``main`` on the loop, then re-raise a callback's exception."""
+        try:
+            result = self._loop.run_until_complete(main)
+        finally:
+            failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
+        return result
 
     def run_until(
         self,
@@ -190,19 +219,16 @@ class _EventLoopBackend(ExecutionBackend):
     ) -> bool:
         async def _drive() -> bool:
             wall_deadline = self._loop.time() + timeout * self.time_scale
-            while not predicate():
+            while self._failure is None and not predicate():
                 if self._loop.time() >= wall_deadline:
                     break
                 await asyncio.sleep(self.POLL_INTERVAL_S)
             return predicate()
 
-        return self._loop.run_until_complete(_drive())
+        return self._run(_drive())
 
     def run_for(self, duration: float, max_events: int | None = None) -> float:
-        async def _sleep() -> None:
-            await asyncio.sleep(duration * self.time_scale)
-
-        self._loop.run_until_complete(_sleep())
+        self._run(asyncio.sleep(duration * self.time_scale))
         return self.now
 
     def run_until_time(self, time: float, max_events: int | None = None) -> float:
@@ -211,16 +237,23 @@ class _EventLoopBackend(ExecutionBackend):
             self.run_for(remaining)
         return self.now
 
+    def close(self) -> None:
+        if not self._closed:
+            self._closed = True
+            self._loop.close()
+
 
 class RealTimeBackend(_EventLoopBackend):
-    """Asyncio execution: the same protocol code on a real clock.
+    """Asyncio execution: the same protocol code and fabric on a real clock.
 
-    ``time_scale`` compresses every timer delay and ``latency_scale`` every
-    network delay (both default to 0.05, i.e. 20x compression), which keeps
-    demo workloads within a couple of wall-clock seconds while preserving
-    relative timer ordering.  Protocol time (``now``, latencies, timeouts) is
-    always reported *unscaled*, so results are directly comparable with the
-    simulator's.
+    The transport is the simulator's :class:`~repro.sim.network.Network`
+    driven by a :class:`RealTimeScheduler`, so link decisions come from the
+    same emulator and reach receivers through the same delivery path.
+    ``time_scale`` (default 0.05, i.e. 20x compression) maps protocol seconds
+    to wall-clock seconds for timers and link delays alike, which keeps demo
+    workloads within a couple of wall-clock seconds.  Protocol time (``now``,
+    latencies, timeouts) is always reported *unscaled*, so results are
+    directly comparable with the simulator's.
     """
 
     name = "realtime"
@@ -233,10 +266,8 @@ class RealTimeBackend(_EventLoopBackend):
         conditions: NetworkConditions | None = None,
         netem: NetemPolicy | None = None,
         time_scale: float = 0.05,
-        latency_scale: float | None = None,
     ) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._closed = False
+        super().__init__()
         self.time_scale = time_scale
         self._scheduler = RealTimeScheduler(self._loop, seed=seed, time_scale=time_scale)
         emulator = LinkEmulator(
@@ -244,24 +275,15 @@ class RealTimeBackend(_EventLoopBackend):
             conditions or NetworkConditions(),
             seed=seed,
         )
-        self._network = AsyncNetwork(
-            self._scheduler,
-            emulator=emulator,
-            latency_scale=latency_scale if latency_scale is not None else time_scale,
-        )
+        self._network = Network(self._scheduler, emulator=emulator)
 
     @property
     def scheduler(self) -> RealTimeScheduler:
         return self._scheduler
 
     @property
-    def transport(self) -> AsyncNetwork:
+    def transport(self) -> Network:
         return self._network
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._loop.close()
 
 
 class SocketBackend(_EventLoopBackend):
@@ -274,10 +296,10 @@ class SocketBackend(_EventLoopBackend):
     to ``listen``.  ``address_map`` pins remote replicas to endpoints;
     addresses missing from it (clients) route to ``default_endpoint``.
 
-    Constructed by name (``--backend socket``) it hosts every node locally
-    with ``wire_loopback`` on, so even a single-process deployment pushes
-    every message through encode -> frame -> TCP -> decode -> MAC-verify via
-    its own listening socket.  The listening socket is bound eagerly during
+    Every message goes over the wire, including those between nodes hosted
+    in the same process: a single-process deployment (``--backend socket``)
+    pushes each one through encode -> frame -> TCP -> decode -> MAC-verify
+    via its own listening socket.  The listening socket is bound eagerly during
     construction (nodes enqueue wire traffic before the loop first runs), so
     ``listen_endpoint`` is valid immediately.
     """
@@ -293,12 +315,10 @@ class SocketBackend(_EventLoopBackend):
         seed: int = 2022,
         time_scale: float = 1.0,
         max_frame: int = MAX_FRAME_BYTES,
-        wire_loopback: bool = True,
         conditions: NetworkConditions | None = None,
         netem: NetemPolicy | None = None,
     ) -> None:
-        self._loop = asyncio.new_event_loop()
-        self._closed = False
+        super().__init__()
         self.time_scale = time_scale
         self._scheduler = RealTimeScheduler(self._loop, seed=seed, time_scale=time_scale)
         # ``netem=None`` keeps the historical plain-loopback behaviour: the
@@ -310,7 +330,6 @@ class SocketBackend(_EventLoopBackend):
             address_map=address_map,
             default_endpoint=default_endpoint,
             max_frame=max_frame,
-            wire_loopback=wire_loopback,
             emulator=LinkEmulator(netem, conditions, seed=seed),
         )
         self._loop.run_until_complete(self._transport.start())
@@ -328,14 +347,13 @@ class SocketBackend(_EventLoopBackend):
         return self._transport.bound_endpoint
 
     def run_coroutine(self, coro):
-        """Run an auxiliary coroutine (control calls, teardown) on the loop."""
-        return self._loop.run_until_complete(coro)
+        """Run an auxiliary coroutine (control calls) on the loop."""
+        return self._run(coro)
 
     def close(self) -> None:
         if not self._closed:
-            self._closed = True
             self._loop.run_until_complete(self._transport.aclose())
-            self._loop.close()
+        super().close()
 
 
 #: Registry of the built-in backends, keyed by their ``--backend`` name.
@@ -355,7 +373,6 @@ _BACKEND_KWARGS: dict[str, tuple[str, ...]] = {
         "conditions",
         "netem",
         "time_scale",
-        "latency_scale",
     ),
     SocketBackend.name: (
         "seed",
@@ -365,7 +382,6 @@ _BACKEND_KWARGS: dict[str, tuple[str, ...]] = {
         "address_map",
         "default_endpoint",
         "max_frame",
-        "wire_loopback",
     ),
 }
 

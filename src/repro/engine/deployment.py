@@ -84,11 +84,6 @@ class RunResult:
     def throughput_tps(self) -> float:
         return self.completed / self.duration_s if self.duration_s > 0 else 0.0
 
-    @property
-    def wall_clock_seconds(self) -> float:
-        """Backwards-compatible alias for ``wall_clock_s``."""
-        return self.wall_clock_s
-
     def _latency_percentile(self, fraction: float) -> float:
         return percentile(sorted(self.latencies), fraction)
 
@@ -136,15 +131,13 @@ class Deployment:
         seed: int = 2022,
         preload_table: bool = True,
         time_scale: float = 0.05,
-        latency_scale: float | None = None,
         local_replicas: "set[ReplicaId] | frozenset[ReplicaId] | None" = None,
     ) -> "Deployment":
         """Build a deployment running ``replica_class`` on every replica.
 
         ``backend`` is either a backend name (``"sim"`` / ``"realtime"`` /
         ``"socket"``) or an already-constructed :class:`ExecutionBackend`;
-        ``time_scale`` and ``latency_scale`` only apply to the real-time
-        backend.
+        ``time_scale`` only applies to the real-time backend.
 
         ``netem`` is the shared link-emulation policy
         (:class:`~repro.netem.NetemPolicy`) applied to every backend's
@@ -167,7 +160,6 @@ class Deployment:
                 latency=latency,
                 netem=netem,
                 time_scale=time_scale,
-                latency_scale=latency_scale,
             )
         directory = Directory.from_config(config)
         emulator = getattr(backend.transport, "emulator", None)

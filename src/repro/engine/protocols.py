@@ -11,11 +11,11 @@ their environment through three narrow surfaces only:
 
 Anything implementing these three protocols can host the unmodified protocol
 code, which is what makes the execution engine pluggable (the same pattern
-Hyperledger Sawtooth uses for dynamic consensus engines).  The two built-in
-implementations are the deterministic discrete-event simulator
-(:class:`repro.sim.kernel.Simulator` + :class:`repro.sim.network.Network`)
-and the asyncio real-time stack (:class:`repro.rt.transport.RealTimeScheduler`
-+ :class:`repro.rt.transport.AsyncNetwork`).
+Hyperledger Sawtooth uses for dynamic consensus engines).  There are two
+schedulers -- the deterministic :class:`repro.sim.kernel.Simulator` and the
+asyncio :class:`repro.rt.transport.RealTimeScheduler` -- and two transports:
+the in-process :class:`repro.sim.network.Network`, which runs on either
+scheduler, and the TCP :class:`repro.net.transport.SocketTransport`.
 """
 
 from __future__ import annotations

@@ -86,7 +86,6 @@ def run_one(
         seed=params["seed"],
         netem=policy,
         time_scale=params["time_scale"],
-        latency_scale=params["time_scale"],
     )
     try:
         workload = build_workload(

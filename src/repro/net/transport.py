@@ -14,7 +14,7 @@ over TCP unchanged.  Key properties:
   failures; frames queue (bounded) while a peer is unreachable, and losses
   are absorbed by the protocol's own retransmission timers, exactly like a
   lossy network.
-* **Multicast fast path** -- mirroring the in-process transports: one
+* **Multicast fast path** -- mirroring the in-process fabric: one
   fan-out encodes the tag vector and the message once and writes per-peer
   frames that differ only in the destination item.
 * **Fail-stop on garbage** -- a malformed frame or envelope poisons only the
@@ -98,8 +98,7 @@ class SocketStats:
     coalesced_frames: int = 0
     #: Frames whose enqueue was deferred by an emulated link delay.
     netem_delayed: int = 0
-    #: Messages handed to local nodes (both wire deliveries and the
-    #: zero-copy local path).
+    #: Messages received off the wire and handed to a hosted node.
     delivered: int = 0
     #: Fan-outs served by the encode-once multicast fast path.
     multicasts: int = 0
@@ -249,12 +248,10 @@ class _PeerLink:
 class SocketTransport:
     """Message fabric over real TCP, API-compatible with ``sim.network.Network``.
 
-    ``wire_loopback=True`` (the default) routes even locally-hosted
-    destinations through the full encode -> frame -> TCP -> decode -> verify
-    path via the transport's own listening socket, so a single-process
-    deployment still exercises the real wire; the multi-process launcher
-    leaves it on (each process hosts disjoint nodes, so it is moot there) and
-    tests can switch it off to get the zero-copy local path.
+    Every message takes the full encode -> frame -> TCP -> decode -> verify
+    path, including those to a node hosted by this process: they go through
+    the transport's own listening socket, so a single-process deployment
+    still exercises the real wire.
     """
 
     def __init__(
@@ -266,7 +263,6 @@ class SocketTransport:
         address_map: dict[Hashable, Endpoint] | None = None,
         default_endpoint: Endpoint | None = None,
         max_frame: int = MAX_FRAME_BYTES,
-        wire_loopback: bool = True,
         conditions: NetworkConditions | None = None,
         emulator: LinkEmulator | None = None,
     ) -> None:
@@ -276,7 +272,6 @@ class SocketTransport:
         self._address_map = dict(address_map or {})
         self._default_endpoint = default_endpoint
         self.max_frame = max_frame
-        self.wire_loopback = wire_loopback
         #: Consulted at send time exactly like the in-process backends: the
         #: emulator's fault conditions (drops, blocked links, isolation)
         #: suppress the outbound copy, emulated loss drops it, and a geo
@@ -287,7 +282,7 @@ class SocketTransport:
         if emulator is None:
             emulator = LinkEmulator(None, conditions, seed=getattr(scheduler, "seed", 2022))
         elif conditions is not None:
-            # Mirror the in-process transports: the emulator owns its
+            # Mirror the in-process fabric: the emulator owns its
             # conditions, so a standalone argument must not coexist with it.
             raise ConfigurationError("pass either an emulator or conditions, not both")
         self.emulator = emulator
@@ -347,58 +342,32 @@ class SocketTransport:
         deliver, delay = self._decide(src, dst, message.wire_size())
         if not deliver:
             return
-        node = self._nodes.get(dst)
-        if node is not None and not self.wire_loopback:
-            self._deliver_local(node, message, delay)
-            return
         self._send_frame(
             dst, encode_frame(encode_envelope(dst, message), max_frame=self.max_frame), delay
         )
 
     def multicast(self, src: Hashable, dsts, message: "Message") -> None:
         """Fan-out fast path: tag vector and message encoded once for all
-        wire copies (per-destination frames differ only in the address item)."""
+        copies (per-destination frames differ only in the address item)."""
         if not dsts:
             return
         self.stats.multicasts += 1
         size = message.wire_size()
-        wire_dsts: list = []
-        wire_delays: list[float] = []
+        sent: list = []
+        delays: list[float] = []
         for dst in dsts:
             deliver, delay = self._decide(src, dst, size)
-            if not deliver:
-                continue
-            node = self._nodes.get(dst)
-            if node is not None and not self.wire_loopback:
-                self._deliver_local(node, message, delay)
-            else:
-                wire_dsts.append(dst)
-                wire_delays.append(delay)
-        if not wire_dsts:
+            if deliver:
+                sent.append(dst)
+                delays.append(delay)
+        if not sent:
             return
-        for dst, delay, body in zip(
-            wire_dsts, wire_delays, encode_envelope_multi(wire_dsts, message)
-        ):
+        for dst, delay, body in zip(sent, delays, encode_envelope_multi(sent, message)):
             self._send_frame(dst, encode_frame(body, max_frame=self.max_frame), delay)
 
     # ------------------------------------------------------------------
     # outbound path
     # ------------------------------------------------------------------
-
-    def _deliver_local(self, node: "Node", message: "Message", delay: float = 0.0) -> None:
-        if delay > 0.0:
-            self._scheduler.schedule(delay, self._deliver_local_now, node, message)
-        else:
-            self._loop.call_soon(self._deliver_local_now, node, message)
-
-    def _deliver_local_now(self, node: "Node", message: "Message") -> None:
-        if self._closing:
-            # Same teardown rule as the wire path: a netem-held local
-            # delivery whose timer fires mid-aclose must not reach a node of
-            # a deployment being dismantled.
-            return
-        self.stats.delivered += 1
-        node.deliver(message)
 
     def _send_frame(self, dst: Hashable, frame: bytes, delay: float) -> None:
         """Queue a frame for its peer, after the emulated link delay if any.
@@ -427,7 +396,7 @@ class SocketTransport:
         if endpoint is not None:
             return endpoint
         if dst in self._nodes:
-            # wire_loopback: our own listening socket is the peer.
+            # A node hosted here: our own listening socket is the peer.
             if self._bound is None:
                 raise NetworkError(
                     "wire loopback requires a started transport (call start() first)"

@@ -4,9 +4,9 @@
 one-way delay derived from the region RTT matrix (or an explicit, possibly
 asymmetric :class:`DelayMatrix`), jitter, bandwidth/serialisation delay,
 steady-state loss, and the injected fault conditions -- behind one seeded,
-deterministic decision engine (:class:`LinkEmulator`).  The simulator's
-network, the asyncio real-time network, and the TCP socket transport all
-consume the same engine, so a geo workload expressed once as a
+deterministic decision engine (:class:`LinkEmulator`).  The in-process
+network (on the simulator's clock or a real one) and the TCP socket
+transport both consume the same engine, so a geo workload expressed once as a
 :class:`NetemPolicy` runs identically (modulo clock) on any backend.
 """
 

@@ -1,12 +1,12 @@
 """The link emulator: every per-link delivery decision, for every backend.
 
-One :class:`LinkEmulator` instance sits under each transport (simulated,
-asyncio real-time, TCP socket) and answers the only question a delivery layer
+One :class:`LinkEmulator` instance sits under each transport (the in-process
+network on either clock, the TCP socket transport) and answers the only question a delivery layer
 needs to ask: *given a message of this size from src to dst, is it delivered,
 and after what one-way delay?*  Everything behind that answer -- region
 assignment, the :class:`~repro.netem.policy.NetemPolicy` delay/loss math,
 injected fault conditions, and the random draws -- is owned here, so the
-three backends cannot drift apart.
+backends cannot drift apart.
 
 Determinism contract
 --------------------

@@ -2,7 +2,6 @@
 
 from repro.sim.kernel import Simulator, TimerHandle
 from repro.sim.network import Network, NetworkConditions
-from repro.sim.regions import LatencyModel, region_rtt_seconds
 from repro.sim.node import Node
 
 __all__ = [
@@ -10,7 +9,5 @@ __all__ = [
     "TimerHandle",
     "Network",
     "NetworkConditions",
-    "LatencyModel",
-    "region_rtt_seconds",
     "Node",
 ]

@@ -1,4 +1,4 @@
-"""Simulated WAN connecting clients and replicas.
+"""In-process WAN connecting clients and replicas.
 
 The network delivers protocol messages after the one-way delay decided by the
 shared link-emulation subsystem (:mod:`repro.netem`): region-to-region
@@ -6,8 +6,13 @@ propagation, per-message serialisation delay, jitter, steady-state loss, and
 the injected fault conditions (message loss, one-directional link blocks for
 the paper's *no communication* / *partial communication* cross-shard attacks,
 and full node isolation) are all owned by one :class:`~repro.netem.LinkEmulator`
--- the same engine the real-time and socket transports consume, so a WAN
-scenario expressed once runs identically on every backend.
+-- the same engine the socket transport consumes, so a WAN scenario expressed
+once runs identically on every backend.
+
+The network needs only ``schedule`` and ``seed`` from its scheduler, so the
+same fabric serves the simulator (virtual time) and the realtime backend
+(:class:`~repro.rt.transport.RealTimeScheduler`, where one ``time_scale``
+compresses timers and link delays alike).
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class _DeliveryStats:
 
 
 class Network:
-    """Message fabric shared by all nodes of one simulated deployment."""
+    """Message fabric shared by all nodes of one in-process deployment."""
 
     def __init__(
         self,
@@ -80,11 +85,6 @@ class Network:
     @property
     def conditions(self) -> NetworkConditions:
         return self._emulator.conditions
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        policy = self._emulator.policy
-        return policy.latency if policy is not None else LatencyModel()
 
     def register(self, node: "Node") -> None:
         """Attach a node to the fabric; addresses must be unique."""

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.config import SystemConfig, TimerConfig, WorkloadConfig
 from repro.core.replica import RingBftReplica
+from repro.engine import Deployment
 from repro.txn.transaction import TransactionBuilder
 
 
@@ -43,10 +43,11 @@ def build_cluster(
     num_clients: int = 1,
     seed: int = 2022,
     **workload_overrides,
-) -> Cluster:
+) -> Deployment:
     config = small_system(num_shards, replicas, **workload_overrides)
-    return Cluster.build(
+    return Deployment.build(
         config,
+        backend="sim",
         replica_class=replica_class,
         num_clients=num_clients,
         batch_size=1,
@@ -55,7 +56,7 @@ def build_cluster(
 
 
 @pytest.fixture
-def ring_cluster() -> Cluster:
+def ring_cluster() -> Deployment:
     """A 3-shard, 4-replica RingBFT cluster with one client."""
     return build_cluster()
 

@@ -1,8 +1,8 @@
-"""Integration tests: the Cluster harness and the workload drivers."""
+"""Integration tests: the sim deployment harness and the workload drivers."""
 
 import pytest
 
-from repro.cluster import Cluster
+from repro.engine import Deployment
 from repro.config import SystemConfig
 from repro.errors import ConfigurationError
 from repro.metrics.collector import summarize
@@ -85,6 +85,8 @@ class TestUniformConfigIntegration:
         # Building the object graph for the paper's 420-replica deployment
         # must be cheap (no simulation is run here).
         config = SystemConfig.uniform(15, 28)
-        cluster = Cluster.build(config, num_clients=1, preload_table=False)
+        cluster = Deployment.build(
+            config, backend="sim", num_clients=1, preload_table=False
+        )
         assert len(cluster.replicas) == 420
         assert cluster.directory.quorum(0).commit_quorum == 19

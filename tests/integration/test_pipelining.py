@@ -16,16 +16,22 @@ import random
 
 import pytest
 
-from repro.cluster import Cluster
 from repro.common.messages import (
+    NO_OP_DIGEST,
     ClientRequest,
+    Commit,
+    NewView,
+    Prepare,
     PrePrepare,
     PreparedProof,
+    StateTransferReply,
     ViewChange,
     batch_digest,
 )
 from repro.config import PipelineConfig, SystemConfig, TimerConfig
 from repro.core.replica import RingBftReplica
+from repro.engine import Deployment
+from repro.errors import ConsensusError
 from repro.txn.transaction import TransactionBuilder
 
 from tests.conftest import small_workload
@@ -52,8 +58,12 @@ def _pipelined_cluster(
         workload=small_workload(),
         pipeline=PipelineConfig(depth=depth),
     )
-    return Cluster.build(
-        config, replica_class=RingBftReplica, num_clients=num_clients, batch_size=1
+    return Deployment.build(
+        config,
+        backend="sim",
+        replica_class=RingBftReplica,
+        num_clients=num_clients,
+        batch_size=1,
     )
 
 
@@ -97,8 +107,8 @@ class TestPipelinedWindow:
             if pipelined:
                 kwargs["pipeline"] = PipelineConfig(depth=1)
             config = SystemConfig.uniform(1, 4, **kwargs)
-            cluster = Cluster.build(
-                config, replica_class=RingBftReplica, num_clients=1, batch_size=1
+            cluster = Deployment.build(
+                config, backend="sim", replica_class=RingBftReplica, num_clients=1, batch_size=1
             )
             for i in range(8):
                 cluster.submit(_single_txn(cluster, 0, i, f"classic-{i}"))
@@ -207,6 +217,158 @@ class TestViewChangeWithWindowGap:
             assert replica.ledger.contains_txn("prepared-1")
             assert replica.ledger.contains_txn("prepared-3")
         assert cluster.ledgers_consistent(0)
+
+
+class TestAbandonedSequenceStaysAbandoned:
+    """A sequence one NewView abandons is never resurrected by a later one.
+
+    Sequence 2 prepared only at the old primary, which misses the view-1
+    change; the view-1 NewView abandons 2 everywhere else.  In view 2 that
+    primary's stale view-0 certificate for 2 reaches the new primary.  The
+    no-op reported by the replicas that abandoned 2 must outrank it: a
+    re-proposal would commit at replicas that already skipped 2 and relock
+    a processed sequence.
+    """
+
+    def _stale_certificate_scenario(self):
+        cluster = _pipelined_cluster(depth=1)
+        cluster.submit(_single_txn(cluster, 0, 0, "warm-0"))
+        assert cluster.run_until_clients_done(timeout=60.0)
+        old_primary, r1, r2, r3 = cluster.shard_replicas(0)
+        assert all(r.locks.k_max == 1 for r in (r1, r2, r3))
+
+        # View 1: r1's NewView abandons sequence 2 at r1, r2 and r3 (the
+        # old primary is cut off and never installs it).
+        new_view = NewView(sender=r1.replica_id, view=1, view_change_senders=(), abandoned=(2,))
+        for replica in (r1, r2, r3):
+            replica._dispatch(new_view)
+        assert all(r.locks.k_max == 2 for r in (r1, r2, r3))
+
+        # View 2: the old primary's vote still carries its view-0
+        # certificate for sequence 2; r2 and r3 vote from their own state.
+        stale = (_single_txn(cluster, 0, 2, "stale-2"),)
+        stale_batch = tuple(ClientRequest(sender="client-0", transaction=t) for t in stale)
+        stale_vote = ViewChange(
+            sender=old_primary.replica_id,
+            new_view=2,
+            last_stable_sequence=0,
+            prepared=(
+                PreparedProof(
+                    sequence=2,
+                    view=0,
+                    batch_digest=batch_digest(stale_batch),
+                    prepares=old_primary.quorum.commit_quorum,
+                    requests=stale_batch,
+                ),
+            ),
+        )
+        r2._dispatch(stale_vote)
+        r3._send_view_change(2)
+        r2._send_view_change(2)
+        return cluster
+
+    def test_no_op_proof_outranks_an_earlier_certificate(self):
+        cluster = self._stale_certificate_scenario()
+        cluster.run(duration=cluster.simulator.now + 30.0)
+        replicas = cluster.shard_replicas(0)
+        assert all(r.view == 2 for r in replicas)
+        for replica in replicas:
+            assert not replica.ledger.contains_txn("stale-2")
+            assert 2 in replica._abandoned_sequences
+            assert replica.locks.k_max >= 2
+        assert cluster.ledgers_consistent(0)
+
+    def test_votes_report_abandoned_sequences_as_no_ops(self):
+        cluster = _pipelined_cluster(depth=1)
+        replica = cluster.shard_replicas(0)[1]
+        replica._dispatch(
+            NewView(sender=replica.replica_id, view=1, view_change_senders=(), abandoned=(1,))
+        )
+        sent = []
+        replica._broadcast_shard = lambda message, include_self=True: sent.append(message)
+        replica._send_view_change(2)
+        (vote,) = sent
+        assert [(p.sequence, p.view, p.batch_digest) for p in vote.prepared] == [
+            (1, 1, NO_OP_DIGEST)
+        ]
+
+
+class TestRecommitOfProcessedSequence:
+    """A commit quorum for a sequence this replica already appended to its
+    ledger, after GC dropped it from ``_committed_sequences``, never executes
+    or locks it again; a different batch there fails loudly."""
+
+    def _processed_replica(self):
+        cluster = _pipelined_cluster(depth=1)
+        cluster.submit(_single_txn(cluster, 0, 0, "done-1"))
+        assert cluster.run_until_clients_done(timeout=60.0)
+        replica = cluster.shard_replicas(0)[1]
+        assert replica.locks.k_max == 1
+        replica._committed_sequences.clear()  # as GC would
+        replica._dispatch(
+            NewView(sender=cluster.primary_of(0, 1).replica_id, view=1, view_change_senders=())
+        )
+        return cluster, replica
+
+    @staticmethod
+    def _commit(cluster, replica, batch, view=1, sequence=1):
+        digest = batch_digest(batch)
+        replica._dispatch(
+            PrePrepare(
+                sender=cluster.primary_of(0, view).replica_id,
+                view=view,
+                sequence=sequence,
+                batch_digest=digest,
+                requests=batch,
+            )
+        )
+        for vote in (Prepare, Commit):
+            for voter in cluster.shard_replicas(0):
+                replica._dispatch(
+                    vote(sender=voter.replica_id, view=view, sequence=sequence, batch_digest=digest)
+                )
+
+    def test_duplicate_commit_is_ignored(self):
+        cluster, replica = self._processed_replica()
+        batch = replica.log.pre_prepare_for(0, 1).requests
+        chain = [b.block_hash() for b in replica.ledger.blocks()]
+        self._commit(cluster, replica, batch)
+        assert replica.locks.k_max == 1
+        assert [b.block_hash() for b in replica.ledger.blocks()] == chain
+        assert replica.executed_txn_count == 1
+
+    def test_conflicting_commit_fails_loudly(self):
+        cluster, replica = self._processed_replica()
+        other = (ClientRequest(sender="client-0", transaction=_single_txn(cluster, 0, 5, "x")),)
+        with pytest.raises(ConsensusError, match="sequence 1"):
+            self._commit(cluster, replica, other)
+
+    def test_state_transfer_past_the_ledger_head_keeps_later_sequences_lockable(self):
+        """A peer's ``last_executed`` can run past its ledger head; the
+        installing replica must still lock a sequence up there when it
+        commits, not treat it as processed."""
+        cluster = _pipelined_cluster(depth=1)
+        cluster.submit(_single_txn(cluster, 0, 0, "done-1"))
+        assert cluster.run_until_clients_done(timeout=60.0)
+        peer, lagger = cluster.shard_replicas(0)[:2]
+        snapshot = peer.store.items()
+        lagger._install_state(
+            StateTransferReply(
+                sender=peer.replica_id,
+                last_executed=2,
+                state_digest=peer._state_snapshot_digest(snapshot, 2),
+                store_snapshot=snapshot,
+                executed_txn_ids=peer.executor.executed_txn_ids(),
+                blocks=peer.ledger.blocks()[1:],
+            )
+        )
+        assert lagger.locks.k_max == 1
+        txn = _single_txn(cluster, 0, 2, "after-transfer")
+        self._commit(
+            cluster, lagger, (ClientRequest(sender="client-0", transaction=txn),), 0, 2
+        )
+        assert lagger.locks.k_max == 2
+        assert lagger.ledger.sequence_of("after-transfer") == 2
 
 
 class TestGcNeverTruncatesOpenSlot:

@@ -69,7 +69,7 @@ class TestSocketBackendRegistry:
 
 
 class TestSingleProcessSocketDeployment:
-    """wire_loopback: every message crosses a real TCP socket in one process."""
+    """Every message crosses a real TCP socket, even within one process."""
 
     def test_mixed_workload_over_tcp_loopback(self):
         deployment = Deployment.build(

@@ -14,11 +14,11 @@ The acceptance bar for the unified link model:
 import pytest
 
 from repro.common.messages import Checkpoint
-from repro.engine import Deployment, SocketBackend
+from repro.engine import Deployment, RealTimeBackend, SocketBackend
 from repro.errors import NetworkError
 from repro.experiments import wan
 from repro.net.launcher import build_system_config, build_workload
-from repro.netem import DelayMatrix, NetemPolicy
+from repro.netem import DelayMatrix, LinkEmulator, NetemPolicy, NetworkConditions
 from repro.sim.node import Node
 
 
@@ -138,19 +138,32 @@ class TestSocketHonoursDelayMatrix:
         finally:
             backend.close()
 
-    def test_delayed_local_deliveries_are_suppressed_once_closing(self):
-        """The zero-copy local path honours the same teardown rule as the
-        wire path: a held delivery must not reach a node mid-dismantle."""
-        backend = SocketBackend(netem=NetemPolicy(), wire_loopback=False, seed=3)
+
+class TestRealTimeLinkDelays:
+    def test_protocol_time_delay_is_the_emulated_link_delay(self):
+        """One ``time_scale`` compresses timers and links alike, so in protocol
+        time a message takes the delay the emulator picked for its link --
+        not that delay compressed a second time."""
+        seed, count = 7, 4
+        backend = RealTimeBackend(seed=seed, time_scale=0.25)
+        twin = LinkEmulator(NetemPolicy(), NetworkConditions(), seed=seed)
         try:
             transport = backend.transport
             _Probe("a", "oregon", transport)
-            b = _Probe("b", "london", transport)
-            transport._closing = True
-            transport.send("a", "b", Checkpoint(sender="a", sequence=0, state_digest=b"x"))
-            backend.run_for(0.2)
-            assert b.arrivals == {}
-            assert transport.stats.delivered == 0
+            b = _Probe("b", "taiwan", transport)
+            for address, region in (("a", "oregon"), ("b", "taiwan")):
+                twin.assign_region(address, region)
+            sent, expected = {}, {}
+            for i in range(count):
+                message = Checkpoint(sender="a", sequence=i, state_digest=b"x")
+                sent[i] = backend.now
+                transport.send("a", "b", message)
+                expected[i] = twin.decide("a", "b", message.wire_size())[1]
+            assert backend.run_until(lambda: len(b.arrivals) == count, timeout=10.0)
+            # Only a lower bound: real loop scheduling can only add delay.
+            for i in range(count):
+                assert b.arrivals[i] - sent[i] >= 0.9 * expected[i], (i, b.arrivals, expected)
+            assert min(expected.values()) > 0.05  # a genuinely far link
         finally:
             backend.close()
 

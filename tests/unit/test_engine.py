@@ -8,6 +8,7 @@ from repro.engine.backends import RealTimeBackend, SimBackend
 from repro.engine.protocols import Clock, Scheduler, Transport
 from repro.errors import CryptoError
 from repro.sim.kernel import Simulator
+from repro.sim.network import Network
 
 
 class TestStructuralProtocols:
@@ -23,6 +24,8 @@ class TestStructuralProtocols:
             assert isinstance(backend.scheduler, Clock)
             assert isinstance(backend.scheduler, Scheduler)
             assert isinstance(backend.transport, Transport)
+            # One in-process fabric: the realtime backend runs the simulator's.
+            assert isinstance(backend.transport, Network)
         finally:
             backend.close()
 

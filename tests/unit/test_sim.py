@@ -5,10 +5,10 @@ import pytest
 from repro.common.messages import Checkpoint
 from repro.config import GCP_REGIONS
 from repro.errors import NetworkError, SimulationError
+from repro.netem.regions import LatencyModel, region_rtt_seconds, rtt_matrix
 from repro.sim.kernel import Simulator
 from repro.sim.network import Network
 from repro.sim.node import Node
-from repro.sim.regions import LatencyModel, region_rtt_seconds, rtt_matrix
 
 
 class TestSimulatorKernel:
