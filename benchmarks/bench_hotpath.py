@@ -20,7 +20,9 @@ and quorum logic -- so every speedup below is apples-to-apples.
   once per mode: wall clock, simulator events/sec, and protocol throughput.
 
 Writes ``BENCH_hotpath.json`` recording baseline, optimized, and speedups so
-the improvement is measured, not asserted::
+the improvement is measured, not asserted.  The report is stamped with a
+``schema_version``, the ``git_sha`` of the checkout and a ``source_sha256``
+over ``src/``, so a file left behind by an older tree shows as stale::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py --output BENCH_hotpath.json
     PYTHONPATH=src python benchmarks/bench_hotpath.py --smoke   # CI gate (>= 2x digest micro)
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import sys
 import time
@@ -56,6 +59,7 @@ from repro.config import SystemConfig, WorkloadConfig  # noqa: E402
 from repro.engine import Deployment, WorkloadDriver  # noqa: E402
 from repro.txn.transaction import TransactionBuilder  # noqa: E402
 from repro.workloads.ycsb import YcsbWorkloadGenerator  # noqa: E402
+from trajectory import _git_sha  # noqa: E402
 
 DEFAULTS = dict(
     shards=3,
@@ -69,6 +73,17 @@ DEFAULTS = dict(
 )
 
 SMOKE_OVERRIDES = dict(macro_total=60, micro_seconds=0.15)
+
+#: Version of the report layout; bump when a field changes meaning.
+SCHEMA_VERSION = 1
+
+
+def _source_sha256() -> str:
+    """SHA-256 over every source file under ``src/`` (path and contents)."""
+    digest = hashlib.sha256()
+    for path in sorted(_SRC.rglob("*.py")):
+        digest.update(str(path.relative_to(_SRC)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -431,6 +446,9 @@ def run_benchmark(smoke: bool = False, **overrides) -> dict:
     )
     return {
         "benchmark": "hotpath",
+        "schema_version": SCHEMA_VERSION,
+        "git_sha": _git_sha(),
+        "source_sha256": _source_sha256(),
         "mode": "smoke" if smoke else "full",
         "params": params,
         "micro": micro,

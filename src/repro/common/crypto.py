@@ -26,7 +26,7 @@ import hashlib
 import hmac
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable, Iterable, TypeVar
 
 from repro.common.codec import register_wire_type
 from repro.errors import CryptoError
@@ -82,6 +82,40 @@ class LruCache:
         return {"size": len(self._data), "hits": self.hits, "misses": self.misses}
 
 
+#: HMAC (RFC 2104) key padding for SHA-256: keys are zero-filled to the
+#: 64-byte block and XORed with these bytes to seed the two hash states.
+_SHA256_BLOCK = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+
+HmacPads = tuple["hashlib._Hash", "hashlib._Hash"]
+
+_Peer = TypeVar("_Peer", bound=Hashable)
+
+
+def hmac_pads(key: bytes) -> HmacPads:
+    """The HMAC-SHA256 inner and outer hash states of ``key``, built once.
+
+    Feeding a payload through copies of these states (:func:`hmac_tag`)
+    gives exactly ``hmac.new(key, payload, hashlib.sha256).digest()``, minus
+    the per-call key schedule.
+    """
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
+def hmac_tag(pads: HmacPads, payload: bytes) -> bytes:
+    """HMAC-SHA256 of ``payload`` under the key whose pads are ``pads``."""
+    inner_state, outer_state = pads
+    inner = inner_state.copy()
+    inner.update(payload)
+    outer = outer_state.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 def sha256(data: bytes) -> bytes:
     """Collision-resistant digest ``H(v)`` used throughout the protocol."""
     return hashlib.sha256(data).digest()
@@ -127,6 +161,7 @@ class KeyStore:
     ) -> None:
         self._seed = seed
         self._signing_keys: dict[str, bytes] = {}
+        self._signing_pads: dict[str, HmacPads] = {}
         #: Shared memo caches for signature / certificate verification;
         #: ``verify_cache_size=0`` disables memoisation entirely.
         self.verify_cache: LruCache | None = (
@@ -143,6 +178,13 @@ class KeyStore:
             key = hmac.new(self._seed, b"sign|" + entity.encode(), hashlib.sha256).digest()
             self._signing_keys[entity] = key
         return key
+
+    def signing_pads(self, entity: str) -> HmacPads:
+        """HMAC pads of ``entity``'s signing key (see :func:`hmac_pads`)."""
+        pads = self._signing_pads.get(entity)
+        if pads is None:
+            pads = self._signing_pads[entity] = hmac_pads(self.signing_key(entity))
+        return pads
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
         """Hit/miss counters of the verification memo caches.
@@ -196,7 +238,7 @@ class SignatureScheme:
         expected = self._keystore.signing_key(entity)
         if not hmac.compare_digest(key, expected):
             raise CryptoError(f"entity {entity!r} presented a key it does not own")
-        value = hmac.new(key, payload, hashlib.sha256).digest()
+        value = hmac_tag(self._keystore.signing_pads(entity), payload)
         return Signature(signer=entity, value=value)
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
@@ -217,8 +259,7 @@ class SignatureScheme:
         return value
 
     def _verify_uncached(self, signature: Signature, payload: bytes) -> bool:
-        key = self._keystore.signing_key(signature.signer)
-        expected = hmac.new(key, payload, hashlib.sha256).digest()
+        expected = hmac_tag(self._keystore.signing_pads(signature.signer), payload)
         return hmac.compare_digest(expected, signature.value)
 
     def require_valid(self, signature: Signature, payload: bytes) -> None:
@@ -231,29 +272,34 @@ class SignatureScheme:
 class MacAuthenticator:
     """Pairwise MAC authentication for intra-shard traffic.
 
-    An authenticator is owned by one endpoint (``owner``) and caches the
-    pairwise secrets that endpoint shares with its peers.
+    An authenticator is owned by one endpoint (``owner``).  For each peer it
+    builds the HMAC-SHA256 pads of the pairwise secret once
+    (:func:`hmac_pads`), so a tag costs two hash-state copies instead of a
+    fresh key schedule; the tags are byte-identical to ``hmac.new``'s and the
+    keys stay pairwise (see :meth:`KeyStore.mac_key`).  A peer is named by
+    anything whose ``str`` is its entity name -- replicas pass their
+    :class:`~repro.common.types.ReplicaId`, so the hot path never formats it.
     """
 
     owner: str
     keystore: KeyStore
-    _cache: dict[str, bytes] = field(default_factory=dict)
+    _pads: dict[Hashable, HmacPads] = field(default_factory=dict)
 
-    def _key_for(self, peer: str) -> bytes:
-        if peer not in self._cache:
-            self._cache[peer] = self.keystore.mac_key(self.owner, peer)
-        return self._cache[peer]
+    def _mac(self, peer: Hashable, payload: bytes) -> bytes:
+        pads = self._pads.get(peer)
+        if pads is None:
+            pads = self._pads[peer] = hmac_pads(self.keystore.mac_key(self.owner, str(peer)))
+        return hmac_tag(pads, payload)
 
-    def tag(self, peer: str, payload: bytes) -> bytes:
+    def tag(self, peer: Hashable, payload: bytes) -> bytes:
         """MAC tag authenticating ``payload`` for the channel owner -> peer."""
-        return hmac.new(self._key_for(peer), payload, hashlib.sha256).digest()
+        return self._mac(peer, payload)
 
-    def verify(self, peer: str, payload: bytes, tag: bytes) -> bool:
-        """Verify a MAC tag received from ``peer``."""
-        expected = hmac.new(self._key_for(peer), payload, hashlib.sha256).digest()
-        return hmac.compare_digest(expected, tag)
+    def verify(self, peer: Hashable, payload: bytes, tag: bytes) -> bool:
+        """Verify a MAC tag received from ``peer`` (constant-time compare)."""
+        return hmac.compare_digest(self._mac(peer, payload), tag)
 
-    def tag_vector(self, peers: Iterable[str], payload: bytes) -> dict[str, bytes]:
+    def tag_vector(self, peers: Iterable[_Peer], payload: bytes) -> dict[_Peer, bytes]:
         """The PBFT authenticator: one pairwise tag per audience member.
 
         This is the broadcast fast path: ``payload`` is resolved once (it is

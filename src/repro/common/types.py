@@ -13,7 +13,7 @@ The paper's notation (Section 3) is mapped onto explicit Python types:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NewType
+from typing import ClassVar, NewType
 
 from repro.common.codec import register_wire_type
 
@@ -32,13 +32,31 @@ class ReplicaId:
     ``index`` is the replica's position inside its shard (``0..n-1``).  The
     linear communication primitive pairs replicas of neighbouring shards that
     share the same ``index``.
+
+    Replica ids key every routing table, quorum set and MAC-pad cache and
+    name every message sender, so the string form and the hash are computed
+    once, at construction.  The hash is ``hash((shard, index))``, the value
+    the generated dataclass hash would give, which keeps set and dict
+    iteration orders -- and with them fan-out order and the simulator's
+    execution -- unchanged.  Equality and ordering are the generated ones.
     """
 
     shard: int
     index: int
+    # Per-instance caches set in __post_init__.  Declared ClassVar so that
+    # they are not dataclass fields (fields are the wire format).
+    _str: ClassVar[str]
+    _hash: ClassVar[int]
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"r{self.index}@S{self.shard}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_str", f"r{self.index}@S{self.shard}")
+        object.__setattr__(self, "_hash", hash((self.shard, self.index)))
+
+    def __str__(self) -> str:
+        return self._str
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_primary_candidate(self) -> bool:

@@ -11,6 +11,7 @@ request).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.common import codec
 from repro.common.crypto import KeyStore, SignatureScheme
@@ -57,6 +58,7 @@ class Client(Node):
         *,
         region: str = "local",
         timers: TimerConfig | None = None,
+        on_complete: Callable[[], None] | None = None,
     ) -> None:
         super().__init__(client_id, region, network)
         self.client_id = client_id
@@ -66,6 +68,8 @@ class Client(Node):
         self._signing_key = keystore.signing_key(client_id)
         self._in_flight: dict[str, _InFlight] = {}
         self.completed: list[CompletedTransaction] = []
+        #: Called once per completed transaction (a deployment's tally).
+        self._on_complete = on_complete
 
     # ------------------------------------------------------------------
     # submission
@@ -139,6 +143,8 @@ class Client(Node):
                 cross_shard=entry.request.transaction.is_cross_shard,
             )
         )
+        if self._on_complete is not None:
+            self._on_complete()
 
     # ------------------------------------------------------------------
     # metrics

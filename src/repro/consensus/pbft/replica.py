@@ -91,6 +91,8 @@ class PbftReplica(Node):
         #: Label under which this replica looks up its own tag in a received
         #: message's MAC vector.
         self.auth_label = f"peer:{replica_id}"
+        #: Every peer's label, formatted once (tagging runs per message copy).
+        self._peer_labels: dict[ReplicaId, str] = {}
         self.auth_tags_created = 0
         self.auth_verifications = 0
         self.auth_rejections = 0
@@ -238,20 +240,30 @@ class PbftReplica(Node):
         benchmark-only legacy mode every tag re-serialises the payload, which
         reproduces the pre-codec cost profile.
         """
+        labels = [self._peer_label(peer) for peer in peers]
         if codec.LEGACY.enabled:
-            for peer in peers:
-                message.attach_auth(
-                    f"peer:{peer}", self.mac.tag(str(peer), message.payload_bytes())
-                )
+            for peer, label in zip(peers, labels):
+                message.attach_auth(label, self.mac.tag(peer, message.payload_bytes()))
             self.auth_tags_created += len(peers)
             return
-        missing = [peer for peer in peers if message.auth_tag(f"peer:{peer}") is None]
+        missing = [
+            (peer, label)
+            for peer, label in zip(peers, labels)
+            if message.auth_tag(label) is None
+        ]
         if not missing:
             return
-        vector = self.mac.tag_vector([str(peer) for peer in missing], message.payload_bytes())
-        for peer in missing:
-            message.attach_auth(f"peer:{peer}", vector[str(peer)])
+        vector = self.mac.tag_vector([peer for peer, _ in missing], message.payload_bytes())
+        for peer, label in missing:
+            message.attach_auth(label, vector[peer])
         self.auth_tags_created += len(missing)
+
+    def _peer_label(self, peer: ReplicaId) -> str:
+        """``peer``'s key in a MAC vector: ``"peer:<replica>"``."""
+        label = self._peer_labels.get(peer)
+        if label is None:
+            label = self._peer_labels[peer] = f"peer:{peer}"
+        return label
 
     def _authenticate_cross_shard_broadcast(self, message: Message, shards: Iterable[int]) -> None:
         """Authenticate a broadcast spanning several shards (AHL's 2PC and
@@ -302,7 +314,7 @@ class PbftReplica(Node):
                 self.auth_rejections += 1
                 return False
             return True
-        ok = self.mac.verify(str(message.sender), message.payload_bytes(), tag)
+        ok = self.mac.verify(message.sender, message.payload_bytes(), tag)
         self.auth_verifications += 1
         if not ok:
             self.auth_rejections += 1

@@ -146,14 +146,21 @@ class SimBackend(ExecutionBackend):
         timeout: float,
         max_events: int | None = 5_000_000,
     ) -> bool:
-        deadline = self.simulator.now + timeout
+        # Like ``Simulator.run(until=...)``: no event later than the deadline
+        # fires, and stopping there advances the clock to the deadline.
+        simulator = self.simulator
+        deadline = simulator.now + timeout
         fired = 0
         while max_events is None or fired < max_events:
             if predicate():
                 return True
-            if self.simulator.pending_events == 0 or self.simulator.now > deadline:
+            next_time = simulator.next_event_time()
+            if next_time is None:
                 break
-            self.simulator.step()
+            if next_time > deadline:
+                simulator.run(until=deadline)
+                break
+            simulator.step()
             fired += 1
         return predicate()
 

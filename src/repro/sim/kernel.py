@@ -7,12 +7,14 @@ kernel is a classic event-calendar design: callbacks are executed in
 timestamp order, ties broken by insertion order, so a given seed always
 produces the same execution.
 
-Events are deliberately lean: one ``__slots__`` object per calendar entry,
-carrying the callback plus a positional-argument tuple.  Hot callers (the
+The calendar is a heap of ``(time, seq, event)`` tuples.  ``seq`` is unique
+per scheduled event, so tuple comparison -- done in C by :mod:`heapq` --
+never reaches the event object, and equal-time events fire in FIFO order.
+The event itself is a ``__slots__`` record carrying the callback, a
+positional-argument tuple and the cancelled/fired flags.  Hot callers (the
 network's delivery path fires one event per message copy) schedule a shared
 bound method with per-event arguments instead of allocating a fresh closure
-per delivery, which measurably lifts events/sec (see ``bench_hotpath.py``'s
-``kernel_events`` micro-benchmark).
+per delivery (see ``bench_hotpath.py``'s ``kernel_events`` micro-benchmark).
 """
 
 from __future__ import annotations
@@ -28,24 +30,16 @@ _NO_ARGS: tuple = ()
 
 
 class _Event:
-    """One calendar entry: (time, tie_breaker) ordered, payload uncompared."""
+    """One calendar entry's payload; the heap orders it by ``(time, seq)``."""
 
-    __slots__ = ("time", "tie_breaker", "callback", "args", "cancelled", "fired")
+    __slots__ = ("time", "callback", "args", "cancelled", "fired")
 
-    def __init__(
-        self, time: float, tie_breaker: int, callback: Callable[..., None], args: tuple
-    ) -> None:
+    def __init__(self, time: float, callback: Callable[..., None], args: tuple) -> None:
         self.time = time
-        self.tie_breaker = tie_breaker
         self.callback = callback
         self.args = args
         self.cancelled = False
         self.fired = False
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.tie_breaker < other.tie_breaker
 
 
 class TimerHandle:
@@ -79,7 +73,7 @@ class Simulator:
 
     def __init__(self, seed: int = 2022) -> None:
         self._now = 0.0
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[float, int, _Event]] = []
         self._counter = itertools.count()
         self._rng = random.Random(seed)
         self.seed = seed
@@ -117,8 +111,9 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        event = _Event(self._now + delay, next(self._counter), callback, args or _NO_ARGS)
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        event = _Event(time, callback, args or _NO_ARGS)
+        heapq.heappush(self._queue, (time, next(self._counter), event))
         self._live += 1
         return TimerHandle(event, self)
 
@@ -128,13 +123,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the next pending event; returns False when the calendar is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
             event.fired = True
             self._live -= 1
-            self._now = event.time
+            self._now = time
             event.callback(*event.args)
             self._processed += 1
             return True
@@ -149,7 +145,7 @@ class Simulator:
         while self._queue:
             if max_events is not None and fired >= max_events:
                 break
-            nxt = self._peek_time()
+            nxt = self.next_event_time()
             if nxt is None:
                 break
             if until is not None and nxt > until:
@@ -158,11 +154,17 @@ class Simulator:
             if not self.step():
                 break
             fired += 1
-        if until is not None and self._now < until and self._peek_time() is None:
+        if until is not None and self._now < until and self.next_event_time() is None:
             self._now = until
         return self._now
 
-    def _peek_time(self) -> float | None:
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+    def next_event_time(self) -> float | None:
+        """Time of the next live event, or None when the calendar is empty.
+
+        Cancelled entries at the head of the calendar are discarded on the
+        way, so the answer is always a time that :meth:`step` would fire at.
+        """
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None

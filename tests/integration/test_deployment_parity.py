@@ -234,6 +234,35 @@ class TestDeploymentParity:
         assert rows["sim"]["completed"] == rows["realtime"]["completed"] == 5
 
 
+class TestCompletionCount:
+    """The deployment's O(1) completion count is the per-client sum."""
+
+    @pytest.mark.parametrize("backend", ("sim", "realtime", "socket"))
+    def test_count_covers_a_client_added_after_the_first_submit(self, backend):
+        def txn(name, client, shard):
+            return (
+                TransactionBuilder(name, client)
+                .read_modify_write(shard, f"user{len(name) + shard}", name)
+                .build()
+            )
+
+        deployment = Deployment.build(
+            _config(), backend=backend, num_clients=1, batch_size=1, time_scale=0.02
+        )
+        try:
+            deployment.submit(txn("early-0", "client-0", 0), "client-0")
+            late = deployment.add_client("late")
+            for i in range(4):
+                client = "late" if i % 2 else "client-0"
+                deployment.submit(txn(f"t-{client}-{i}", client, i % 2), client)
+            assert deployment.run_until_clients_done(timeout=120.0)
+            per_client = sum(c.completed_count for c in deployment.clients.values())
+            assert deployment.completed_transactions() == per_client == 5
+            assert late.completed_count == 2
+        finally:
+            deployment.close()
+
+
 class TestCrossBackendDeterminism:
     """Same seed => identical commit order and digests on both backends.
 

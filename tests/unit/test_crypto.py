@@ -1,5 +1,8 @@
 """Unit tests for the authenticated-communication substrate."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.common.crypto import (
@@ -9,9 +12,12 @@ from repro.common.crypto import (
     Signature,
     SignatureScheme,
     digest_hex,
+    hmac_pads,
+    hmac_tag,
     sha256,
     verify_certificate,
 )
+from repro.common.types import ReplicaId
 from repro.errors import CryptoError
 
 
@@ -103,6 +109,64 @@ class TestMacAuthenticator:
         bob = MacAuthenticator(owner="bob", keystore=store)
         tag = alice.tag("bob", b"hello")
         assert not bob.verify("alice", b"bye", tag)
+
+
+class TestHmacPads:
+    """Tags from precomputed pads are byte-identical to ``hmac.new``."""
+
+    @pytest.mark.parametrize("key_length", [0, 16, 32, 64, 65, 128])
+    def test_pads_match_hmac_new(self, key_length):
+        key = bytes((7 * i + 3) % 256 for i in range(key_length))
+        pads = hmac_pads(key)
+        for payload_length in (0, 1, 10_240):
+            payload = bytes((11 * i) % 256 for i in range(payload_length))
+            expected = hmac.new(key, payload, hashlib.sha256).digest()
+            assert hmac_tag(pads, payload) == expected
+            # The pads are copied, never consumed: reuse gives the same tag.
+            assert hmac_tag(pads, payload) == expected
+
+    def test_authenticator_tags_match_hmac_new_over_the_pairwise_key(self):
+        store = KeyStore()
+        alice = MacAuthenticator(owner="alice", keystore=store)
+        for payload in (b"", b"x", bytes(10_240)):
+            expected = hmac.new(store.mac_key("alice", "bob"), payload, hashlib.sha256).digest()
+            assert alice.tag("bob", payload) == expected
+            assert alice.tag_vector(["bob"], payload) == {"bob": expected}
+
+    def test_signatures_match_hmac_new_over_the_signing_key(self):
+        store = KeyStore()
+        signature = SignatureScheme(store).sign("alice", b"payload")
+        key = store.signing_key("alice")
+        assert signature.value == hmac.new(key, b"payload", hashlib.sha256).digest()
+
+    def test_verify_rejects_a_flipped_bit(self):
+        store = KeyStore()
+        alice = MacAuthenticator(owner="alice", keystore=store)
+        bob = MacAuthenticator(owner="bob", keystore=store)
+        payload = b"prepare|view=0|seq=7"
+        tag = alice.tag("bob", payload)
+        assert bob.verify("alice", payload, tag)
+        flipped_tag = bytes([tag[0] ^ 0x01]) + tag[1:]
+        assert not bob.verify("alice", payload, flipped_tag)
+        flipped_payload = bytes([payload[0] ^ 0x80]) + payload[1:]
+        assert not bob.verify("alice", flipped_payload, tag)
+
+    def test_verify_rejects_a_wrong_peer(self):
+        store = KeyStore()
+        alice = MacAuthenticator(owner="alice", keystore=store)
+        bob = MacAuthenticator(owner="bob", keystore=store)
+        tag = alice.tag("bob", b"hello")
+        assert not bob.verify("carol", b"hello", tag)
+
+    def test_replica_id_peers_share_keys_with_their_names(self):
+        store = KeyStore()
+        a, b = ReplicaId(0, 1), ReplicaId(0, 2)
+        sender = MacAuthenticator(owner=str(a), keystore=store)
+        receiver = MacAuthenticator(owner=str(b), keystore=store)
+        tag = sender.tag(b, b"commit")
+        assert tag == sender.tag(str(b), b"commit")
+        assert receiver.verify(a, b"commit", tag)
+        assert receiver.verify(str(a), b"commit", tag)
 
 
 class TestCertificates:

@@ -78,6 +78,55 @@ class TestKernelLazyDeletion:
             handle.cancel()
         assert sim.pending_events == 1
 
+    def test_equal_time_fifo_holds_across_cancellations(self):
+        sim = Simulator(seed=1)
+        fired = []
+        handles = [sim.schedule(1.0, fired.append, i) for i in range(8)]
+        for i in (0, 3, 4, 7):
+            handles[i].cancel()
+        # Scheduled after the cancellations, at the same instant: still last.
+        sim.schedule_at(1.0, fired.append, "late")
+        sim.schedule(0.5, fired.append, "early")
+        sim.run()
+        assert fired == ["early", 1, 2, 5, 6, "late"]
+        assert sim.pending_events == 0
+
+    def test_next_event_time_skips_cancelled_heads(self):
+        sim = Simulator(seed=1)
+        first = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        first.cancel()
+        assert sim.next_event_time() == 2.0
+        sim.run()
+        assert sim.next_event_time() is None
+
+
+class TestSimBackendDeadline:
+    def test_run_until_does_not_fire_events_past_the_deadline(self):
+        backend = SimBackend(seed=1)
+        fired = []
+        backend.simulator.schedule(10.0, fired.append, "late")
+        assert backend.run_until(lambda: False, timeout=1.0) is False
+        assert fired == []
+        assert backend.now == 1.0
+        # The late event is still pending and fires once its time is reached.
+        assert backend.run_until(lambda: bool(fired), timeout=20.0) is True
+        assert backend.now == 10.0
+
+    def test_run_until_matches_run_for_at_the_deadline(self):
+        fired = {}
+        for name in ("run_until", "run_for"):
+            backend = SimBackend(seed=1)
+            log = fired[name] = []
+            for t in (0.5, 1.0, 1.5):
+                backend.simulator.schedule(t, log.append, t)
+            if name == "run_until":
+                backend.run_until(lambda: False, timeout=1.0)
+            else:
+                backend.run_for(1.0)
+            assert backend.now == 1.0
+        assert fired["run_until"] == fired["run_for"] == [0.5, 1.0]
+
 
 class TestVerificationCaches:
     def test_cached_verify_matches_uncached(self):

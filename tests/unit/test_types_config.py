@@ -1,7 +1,10 @@
 """Unit tests for identifiers and deployment configuration."""
 
+import dataclasses
+
 import pytest
 
+from repro.common.codec import decode_canonical, encode_canonical
 from repro.common.types import DataItem, ReplicaId, primary_index
 from repro.config import (
     GCP_REGIONS,
@@ -24,6 +27,28 @@ class TestReplicaId:
 
     def test_string_form(self):
         assert str(ReplicaId(shard=4, index=7)) == "r7@S4"
+
+    def test_hash_is_the_field_tuple_hash(self):
+        # Set and dict iteration orders (fan-out order, and so the simulated
+        # execution) depend on this value; it must not change.
+        for shard, index in ((0, 0), (2, 3), (7, 1), (-1, 5)):
+            assert hash(ReplicaId(shard, index)) == hash((shard, index))
+
+    def test_string_form_and_ordering_match_the_fields(self):
+        ids = [ReplicaId(s, i) for s in (2, 0, 1) for i in (3, 0, 2)]
+        assert sorted(ids) == [ReplicaId(s, i) for s in (0, 1, 2) for i in (0, 2, 3)]
+        assert [str(r) for r in sorted(ids)][:3] == ["r0@S0", "r2@S0", "r3@S0"]
+        assert repr(ReplicaId(1, 2)) == "ReplicaId(shard=1, index=2)"
+
+    def test_cached_identity_survives_codec_round_trip_and_replace(self):
+        original = ReplicaId(shard=3, index=1)
+        decoded = decode_canonical(encode_canonical(original))
+        replaced = dataclasses.replace(original, index=2)
+        assert decoded == original and decoded is not original
+        assert str(decoded) == "r1@S3" and hash(decoded) == hash((3, 1))
+        assert str(replaced) == "r2@S3" and hash(replaced) == hash((3, 2))
+        # The caches are not fields: they never reach the wire format.
+        assert [f.name for f in dataclasses.fields(ReplicaId)] == ["shard", "index"]
 
     def test_primary_candidate(self):
         assert ReplicaId(0, 0).is_primary_candidate
