@@ -21,10 +21,10 @@ current HEAD.  ``check`` fails (exit 1) when
 * a *gated* throughput metric falls more than ``TOLERANCE`` (10%) below the
   best value ever recorded in the ledger.
 
-Only sim-time metrics are gated (``closed_loop_tps``, ``open_loop_tps``):
-they are deterministic, so a 10% drop is a real protocol change, never host
-noise.  Wall-clock metrics (hotpath events/sec) are recorded for trend
-plotting but deliberately excluded from the gate.
+Only sim-time metrics are gated (``closed_loop_tps``, ``open_loop_tps``,
+``hotpath_macro_tps``): they are deterministic, so a 10% drop is a real
+protocol change, never host noise.  Wall-clock metrics (hotpath events/sec)
+are recorded for trend plotting but deliberately excluded from the gate.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ DEFAULT_LEDGER = REPO_ROOT / "benchmarks" / "baselines" / "trajectory.json"
 TOLERANCE = 0.10
 
 #: Metrics the regression gate enforces (deterministic sim-time throughput).
-GATED_METRICS = ("pipeline_closed_loop_tps", "pipeline_open_loop_tps")
+GATED_METRICS = ("pipeline_closed_loop_tps", "pipeline_open_loop_tps", "hotpath_macro_tps")
 
 
 # ----------------------------------------------------------------------
@@ -96,12 +96,14 @@ def hotpath_headline(report: dict) -> dict:
     """Headline metrics from a ``bench_hotpath`` report.
 
     ``events_per_sec`` is wall-clock and therefore informational only --
-    recorded for trend plots, never gated.
+    recorded for trend plots, never gated.  ``protocol_throughput_tps`` is
+    simulated and deterministic, so it is gated.
     """
-    macro = report.get("macro", {}).get("optimized", {})
+    macro = report.get("macro", {})
     digest = report.get("micro", {}).get("encode_digest", {})
     return {
         "hotpath_verdict_ok": bool(report["verdicts"]["ok"]),
+        "hotpath_macro_tps": macro.get("protocol_throughput_tps", 0.0),
         "hotpath_events_per_sec": macro.get("events_per_sec", 0),
         "hotpath_digest_speedup": digest.get("speedup", 0.0),
     }

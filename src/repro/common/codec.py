@@ -22,16 +22,15 @@ keys), and registered dataclasses round-trip losslessly through
 :func:`decode_canonical`.
 
 The module also hosts the process-wide codec statistics (payload/digest memo
-hit counters surfaced through ``RunResult`` and the CLI) and the *legacy
-mode* switch used by ``benchmarks/bench_hotpath.py`` to reproduce the pre-
-codec cost profile for an honest before/after comparison.
+hit counters surfaced through ``RunResult`` and the CLI).  The pre-codec JSON
+form is not part of the package: ``benchmarks/bench_hotpath.py`` keeps it as a
+benchmark-local reference encoder and times this codec against it.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import json
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable
@@ -580,72 +579,6 @@ STATS = CodecStats()
 
 
 # ---------------------------------------------------------------------------
-# legacy mode (pre-codec cost profile, kept for the hot-path benchmark)
-# ---------------------------------------------------------------------------
-
-
-class _LegacyMode:
-    """When enabled, payloads fall back to per-call JSON canonicalization.
-
-    This reproduces the pre-codec behaviour -- ``json.dumps(...,
-    sort_keys=True, default=str)`` with stringified dict keys, no memoization
-    anywhere -- so ``bench_hotpath.py`` can measure the real before/after gap
-    inside one process.  Never enable it outside benchmarks: the JSON form is
-    *not* injective.
-    """
-
-    __slots__ = ("enabled",)
-
-    def __init__(self) -> None:
-        self.enabled = False
-
-
-LEGACY = _LegacyMode()
-
-
-class legacy_json_encoding:
-    """Context manager forcing the legacy JSON path (benchmarks only).
-
-    Re-entrant: the previous mode is restored on exit, so a nested context
-    can never silently switch an enclosing benchmark scope back to the
-    optimized path (or vice versa).
-    """
-
-    def __init__(self) -> None:
-        self._previous = False
-
-    def __enter__(self) -> None:
-        self._previous = LEGACY.enabled
-        LEGACY.enabled = True
-
-    def __exit__(self, *exc_info) -> None:
-        LEGACY.enabled = self._previous
-
-
-def _jsonify(value: Any) -> Any:
-    """Mimic the old payload shape: stringified dict keys, stringified bytes."""
-    if isinstance(value, dict):
-        return {str(key): _jsonify(val) for key, val in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    if isinstance(value, bytes):
-        return value.hex()
-    return value
-
-
-def legacy_json_bytes(value: Any) -> bytes:
-    """The pre-codec canonical form: per-call, JSON, ``default=str`` fallback."""
-    return json.dumps(_jsonify(value), sort_keys=True, default=str).encode()
-
-
-def encode_payload(build_fields: Callable[[], Any]) -> bytes:
-    """Encode a payload honouring the legacy-mode switch (no memoization here)."""
-    if LEGACY.enabled:
-        return legacy_json_bytes(build_fields())
-    return encode_canonical(build_fields())
-
-
-# ---------------------------------------------------------------------------
 # per-object memoisation (frozen dataclasses)
 # ---------------------------------------------------------------------------
 #
@@ -657,8 +590,6 @@ def encode_payload(build_fields: Callable[[], Any]) -> bytes:
 
 def memoized_payload(obj: Any, build_fields: Callable[[], Any]) -> bytes:
     """Canonical payload of ``obj``, encoded at most once per object."""
-    if LEGACY.enabled:
-        return legacy_json_bytes(build_fields())
     cached = obj.__dict__.get("_payload_memo")
     if cached is None:
         cached = encode_canonical(build_fields())
@@ -676,21 +607,16 @@ def prime_payload(obj: Any, payload: bytes) -> None:
     construction (e.g. a re-built ``ClientRequest`` whose signature is
     excluded from its own payload), so the clone need not re-encode.
     """
-    if LEGACY.enabled:
-        return
     object.__setattr__(obj, "_payload_memo", payload)
 
 
 def memoized_packed_payload(
-    obj: Any, encoder: Callable[..., bytes], build_fields: Callable[[], Any], values: tuple[Any, ...]
+    obj: Any, encoder: Callable[..., bytes], values: tuple[Any, ...]
 ) -> bytes:
     """Like :func:`memoized_payload`, but the first encode uses a compiled
     fixed-layout ``encoder`` (see :func:`compile_fixed_dict`) over ``values``
-    instead of walking ``build_fields()``.  ``build_fields`` is still needed
-    for the legacy-JSON benchmark mode, which has no fast path by design.
+    instead of walking a field dict.
     """
-    if LEGACY.enabled:
-        return legacy_json_bytes(build_fields())
     cached = obj.__dict__.get("_payload_memo")
     if cached is None:
         cached = encoder(*values)
@@ -703,8 +629,6 @@ def memoized_packed_payload(
 
 def memoized_digest(obj: Any, build_fields: Callable[[], Any]) -> bytes:
     """SHA-256 of the canonical payload, hashed at most once per object."""
-    if LEGACY.enabled:
-        return hashlib.sha256(legacy_json_bytes(build_fields())).digest()
     cached = obj.__dict__.get("_digest_memo")
     if cached is None:
         cached = hashlib.sha256(memoized_payload(obj, build_fields)).digest()

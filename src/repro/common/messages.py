@@ -148,14 +148,11 @@ class ClientRequest(Message):
 
     def payload_bytes(self) -> bytes:
         cached = self.__dict__.get("_payload_memo")
-        if cached is not None and not codec.LEGACY.enabled:
+        if cached is not None:
             codec.STATS.payload_hits += 1
             return cached
         return codec.memoized_packed_payload(
-            self,
-            _CLIENT_REQUEST_LAYOUT,
-            self._payload_fields,
-            (str(self.sender), self.transaction.payload_bytes()),
+            self, _CLIENT_REQUEST_LAYOUT, (str(self.sender), self.transaction.payload_bytes())
         )
 
 
@@ -244,12 +241,10 @@ def _packed_payload_bytes(
 
     def payload_bytes(self) -> bytes:
         cached = self.__dict__.get("_payload_memo")
-        if cached is not None and not codec.LEGACY.enabled:
+        if cached is not None:
             codec.STATS.payload_hits += 1
             return cached
-        return codec.memoized_packed_payload(
-            self, layout, self._payload_fields, values_of(self)
-        )
+        return codec.memoized_packed_payload(self, layout, values_of(self))
 
     return payload_bytes
 
@@ -290,8 +285,6 @@ def _commit_vote_fields(view: int, sequence: int, batch_digest: bytes) -> dict[s
 
 
 def _memoized_signed_payload(obj: Any, view: int, sequence: int, batch_digest: bytes) -> bytes:
-    if codec.LEGACY.enabled:
-        return codec.legacy_json_bytes(_commit_vote_fields(view, sequence, batch_digest))
     cached = obj.__dict__.get("_signed_payload_memo")
     if cached is None:
         cached = _COMMIT_VOTE_LAYOUT(view, sequence, batch_digest)
@@ -396,7 +389,7 @@ class Forward(Message):
 
     def payload_bytes(self) -> bytes:
         cached = self.__dict__.get("_payload_memo")
-        if cached is not None and not codec.LEGACY.enabled:
+        if cached is not None:
             codec.STATS.payload_hits += 1
             return cached
         txns = codec.list_frame(
@@ -405,7 +398,6 @@ class Forward(Message):
         return codec.memoized_packed_payload(
             self,
             _FORWARD_LAYOUT,
-            self._payload_fields,
             (str(self.sender), self.batch_digest, self.origin_shard, self.read_sets, txns),
         )
 

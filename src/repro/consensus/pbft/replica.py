@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from repro.common import codec
 from repro.common.batching import Batcher
 from repro.common.crypto import KeyStore, MacAuthenticator, SignatureScheme
 from repro.common.crypto import sha256
@@ -236,16 +235,9 @@ class PbftReplica(Node):
         Byzantine shard member forge the primary's messages -- so the fast
         path optimises the bytes *under* the tags: the memoised payload is
         resolved once and shared by all ``n`` HMACs, and retransmissions of
-        the same object to the same peers mint no new tags.  In the
-        benchmark-only legacy mode every tag re-serialises the payload, which
-        reproduces the pre-codec cost profile.
+        the same object to the same peers mint no new tags.
         """
         labels = [self._peer_label(peer) for peer in peers]
-        if codec.LEGACY.enabled:
-            for peer, label in zip(peers, labels):
-                message.attach_auth(label, self.mac.tag(peer, message.payload_bytes()))
-            self.auth_tags_created += len(peers)
-            return
         missing = [
             (peer, label)
             for peer, label in zip(peers, labels)
@@ -568,13 +560,16 @@ class PbftReplica(Node):
             return {}
         return self.pacing.snapshot(self.now)
 
-    def _local_timeout(self) -> float:
+    def _local_timeout(self, view: int | None = None) -> float:
         """Local timeout with exponential backoff over successive views.
 
         PBFT doubles its view-change timer each view so that a burst of
         timeouts during recovery does not cascade into further view changes.
+        ``view`` defaults to the installed view.
         """
-        return self.timers_config.local_timeout * (2 ** min(self.view, 4))
+        if view is None:
+            view = self.view
+        return self.timers_config.local_timeout * (2 ** min(view, 4))
 
     def _start_request_timer(self, txn_id: str) -> None:
         armed_view = self.view
@@ -1141,6 +1136,14 @@ class PbftReplica(Node):
         if self._view_change_target is not None and self._view_change_target >= target:
             return
         self._view_change_target = target
+        # PBFT's view-change timer: if ``target`` does not install in time,
+        # its primary is presumed faulty too and the vote escalates to the
+        # next view.  The wait doubles with the target view (up to 16x).
+        self.set_timer(
+            "view-change",
+            self._local_timeout(target),
+            lambda: self._on_view_change_timeout(target),
+        )
         abandoned = self._abandoned_sequences
         prepared = tuple(
             PreparedProof(
@@ -1164,6 +1167,10 @@ class PbftReplica(Node):
             prepared=prepared,
         )
         self._broadcast_shard(message)
+
+    def _on_view_change_timeout(self, target: int) -> None:
+        if self._view_change_target == target:
+            self._send_view_change(target + 1)
 
     def _handle_view_change(self, message: ViewChange) -> None:
         if message.new_view <= self.view:
@@ -1263,6 +1270,7 @@ class PbftReplica(Node):
             return
         self.view = message.view
         self._view_change_target = None
+        self.cancel_timer("view-change")
         self._view_change_votes = {
             v: votes for v, votes in self._view_change_votes.items() if v > message.view
         }

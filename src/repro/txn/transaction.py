@@ -161,8 +161,6 @@ class Transaction:
         the bytes are identical by construction (pinned by the packed-codec
         equivalence tests), so digests and signatures interoperate.
         """
-        if codec.LEGACY.enabled:
-            return codec.legacy_json_bytes(self.to_wire())
         cached = self.__dict__.get("_payload_memo")
         if cached is None:
             cached = _TXN_LAYOUT(

@@ -6,6 +6,7 @@ from repro.baselines.ahl.replica import AhlReplica
 from repro.baselines.sharper.replica import SharperReplica
 from repro.consensus.pbft.replica import PbftReplica
 from repro.core.replica import RingBftReplica
+from repro.faults.injector import FaultInjector
 
 from tests.conftest import build_cluster
 
@@ -126,3 +127,35 @@ class TestParallelShards:
         counts = cluster.message_counts()
         assert "Forward" not in counts
         assert "Execute" not in counts
+
+
+class TestViewChangeEscalation:
+    def test_shard_commits_when_the_next_primary_is_also_down(self):
+        """A view change whose new primary is down escalates to the next view.
+
+        Seven replicas tolerate two crashes.  With the primaries of views 0
+        and 1 both down, the vote for view 1 can never complete, so the
+        replicas must re-vote for view 2 after a further (longer) timeout.
+        """
+        cluster = build_cluster(num_shards=1, replicas=7, replica_class=PbftReplica)
+        injector = FaultInjector(cluster)
+        injector.crash_primary(0, view=0)
+        injector.crash_primary(0, view=1)
+        cluster.submit(_single_shard_txn(cluster, 0, txn_id="two-primaries-down"))
+        assert cluster.run_until_clients_done(timeout=200.0)
+        assert cluster.completed_transactions() == 1
+        alive = [r for r in cluster.shard_replicas(0) if not r.crashed]
+        assert {r.view for r in alive} == {2}
+        assert all(r.ledger.height == 1 for r in alive)
+        assert cluster.ledgers_consistent(0)
+
+    def test_completed_view_change_does_not_escalate(self):
+        """Once the vote's view installs, its escalation timer is void."""
+        cluster = build_cluster(num_shards=1, replicas=7, replica_class=PbftReplica)
+        FaultInjector(cluster).crash_primary(0, view=0)
+        cluster.submit(_single_shard_txn(cluster, 0, txn_id="one-primary-down"))
+        assert cluster.run_until_clients_done(timeout=200.0)
+        cluster.run(duration=cluster.simulator.now + 100.0)
+        alive = [r for r in cluster.shard_replicas(0) if not r.crashed]
+        assert {r.view for r in alive} == {1}
+        assert not any(r.has_timer("view-change") for r in alive)

@@ -1,18 +1,32 @@
 """Unit tests for the canonical binary codec and the payload/digest memos."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.common import codec
 from repro.common.codec import (
     decode_canonical,
     encode_canonical,
-    legacy_json_encoding,
     registered_wire_types,
 )
 from repro.common.messages import Checkpoint, Execute, batch_digest
 from repro.common.types import ReplicaId
 from repro.errors import MalformedMessageError
 from repro.txn.transaction import OpType, Operation, Transaction, TransactionBuilder
+
+
+def _load_legacy_json():
+    """The pre-codec JSON reference encoder, which lives with the benchmarks."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "legacy_json.py"
+    spec = importlib.util.spec_from_file_location("legacy_json", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+legacy_json = _load_legacy_json()
 
 
 def _txn(txn_id="t1", shard=0):
@@ -121,12 +135,11 @@ class TestRoundTrip:
         with pytest.raises(MalformedMessageError):
             decode_canonical(junk)
 
-    def test_legacy_context_is_reentrant(self):
-        with legacy_json_encoding():
-            with legacy_json_encoding():
-                assert codec.LEGACY.enabled
-            assert codec.LEGACY.enabled  # inner exit must not clear the outer scope
-        assert not codec.LEGACY.enabled
+    def test_codec_has_one_encoding_path(self):
+        # The benchmark-only JSON switch is gone from src/: nothing can fork
+        # the canonical byte form that MACs, certificates and digests share.
+        for name in ("LEGACY", "legacy_json_encoding", "legacy_json_bytes", "encode_payload"):
+            assert not hasattr(codec, name), name
 
     def test_unknown_type_rejected(self):
         with pytest.raises(MalformedMessageError):
@@ -234,17 +247,19 @@ class TestDigestInjectivityRegression:
         int_keys = Execute(write_sets={0: {"k": "v"}}, **base)
         str_keys = Execute(write_sets={"0": {"k": "v"}}, **base)
         assert int_keys.digest() != str_keys.digest()
-        # The legacy JSON path collides -- which is exactly why it is
-        # quarantined to benchmarks.
-        with legacy_json_encoding():
-            assert int_keys.digest() == str_keys.digest()
+        # The pre-codec JSON form collides -- which is exactly why it only
+        # survives as a benchmark reference.
+        assert legacy_json.legacy_json_digest(
+            int_keys._payload_fields()
+        ) == legacy_json.legacy_json_digest(str_keys._payload_fields())
 
     def test_bytes_vs_stringified_bytes_digest_differently(self):
         raw = Checkpoint(sender=ReplicaId(0, 0), sequence=4, state_digest=b"\xab" * 32)
         impostor = Checkpoint(sender=ReplicaId(0, 0), sequence=4, state_digest=(b"\xab" * 32).hex())
         assert raw.digest() != impostor.digest()
-        with legacy_json_encoding():
-            assert raw.digest() == impostor.digest()
+        assert legacy_json.legacy_json_digest(
+            raw._payload_fields()
+        ) == legacy_json.legacy_json_digest(impostor._payload_fields())
 
     def test_transaction_digest_distinguishes_value_types(self):
         a = Transaction("t", "c", (Operation(shard=0, key="k", op_type=OpType.WRITE, value="7"),))
@@ -290,11 +305,16 @@ class TestMemoisation:
         codec.prime_payload(clone, payload)
         assert clone.payload_bytes() is payload
 
-    def test_legacy_mode_bypasses_memos_but_is_self_consistent(self):
-        txn = _txn("legacy")
-        with legacy_json_encoding():
-            one = txn.payload_bytes()
-            two = txn.payload_bytes()
-            assert one == two
-            assert one is not two  # recomputed per call, like the pre-codec path
+    def test_reference_encoder_bypasses_the_memos(self):
+        # The benchmark baseline must redo the JSON work on every call and
+        # leave the codec's memos and counters untouched.
+        txn = _txn("reference")
+        before = codec.STATS.snapshot()
+        one = legacy_json.legacy_json_bytes(txn.to_wire())
+        two = legacy_json.legacy_json_bytes(txn.to_wire())
+        assert one == two
+        assert one is not two  # recomputed per call, like the pre-codec path
+        delta = codec.STATS.delta_since(before)
+        assert delta["payload"] == {"hits": 0, "misses": 0}
+        assert delta["digest"] == {"hits": 0, "misses": 0}
         assert txn.payload_bytes() != one  # binary codec differs from JSON

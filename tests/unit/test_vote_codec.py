@@ -127,10 +127,12 @@ class TestHypothesisEquivalence:
         assert codec.decode_canonical(expected) == message._payload_fields()
 
 
-class TestLegacyModeBypass:
-    def test_legacy_mode_still_uses_json(self):
+class TestPackedVoteMemo:
+    def test_packed_vote_is_encoded_once_per_message(self):
         message = Prepare(sender=ReplicaId(0, 1), view=1, sequence=2, batch_digest=b"d" * 32)
-        with codec.legacy_json_encoding():
-            legacy = message.payload_bytes()
-            assert legacy == codec.legacy_json_bytes(message._payload_fields())
-        assert message.payload_bytes() != legacy
+        before = codec.STATS.snapshot()
+        first = message.payload_bytes()
+        assert message.payload_bytes() is first
+        assert first == codec.encode_canonical(message._payload_fields())
+        delta = codec.STATS.delta_since(before)
+        assert delta["payload"] == {"hits": 1, "misses": 1}
